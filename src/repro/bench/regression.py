@@ -101,6 +101,17 @@ REPLICATION_SHARDS = 2
 #: pipe relay plus the standby processes competing for cores — hence the
 #: sweep needs enough cores to park the standbys on (skipped otherwise).
 REPLICATION_OVERHEAD_CEILING = 1.10
+#: Sequential requests per setting in the front-door round-trip sweep,
+#: and the tie-heavy string-keyed sort each one runs.
+SHARD_ROUNDTRIP_REQUESTS = 200
+SHARD_ROUNDTRIP_KEYS = 24
+SHARD_ROUNDTRIP_COST_CLASSES = 5
+#: CI gate: one request through a one-shard front door (replicas 0, no
+#: durable directory) may cost at most this many times the in-process
+#: service's p50.  The two pipes and the two process hops are the only
+#: extra work, so delivery must not wait on any timer.  Needs two cores
+#: at most, so it is measured everywhere.
+SHARD_ROUNDTRIP_CEILING = 2.0
 
 #: Wide multi-join rules (4-6 goals per body) over skewed relation sizes.
 #: The written body order leads every rule with a big relation and leaves
@@ -701,6 +712,79 @@ def _replication_overhead_rows(
     }
 
 
+def _shard_roundtrip_rows(requests: int = SHARD_ROUNDTRIP_REQUESTS) -> Dict[str, Any]:
+    """Client-observed p50/p99 of *requests* sequential tie-heavy string
+    sorts through ``ShardedQueryService(shards=1)``: replicas 0 without
+    a durable directory, and replicas 1 (durable, fsync always, warm
+    standby).  Each setting is timed request by request alternately
+    with an in-process ``QueryService`` of the same durability, so drift
+    in the machine's speed hits both sides alike; its ``ratio`` is the
+    front-door p50 over the in-process p50."""
+    import tempfile
+    import time
+
+    from repro.durable import CheckpointStore
+    from repro.serve import QueryRequest, QueryService, ShardedQueryService
+
+    facts = {
+        "p": [
+            (f"x{i}", i % SHARD_ROUNDTRIP_COST_CLASSES)
+            for i in range(SHARD_ROUNDTRIP_KEYS)
+        ]
+    }
+
+    def percentiles(times: List[float]) -> Dict[str, float]:
+        times = sorted(times)
+        return {
+            "p50_ms": round(times[len(times) // 2], 4),
+            "p99_ms": round(times[min(len(times) - 1, int(0.99 * len(times)))], 4),
+        }
+
+    def alternate(sharded: Any, local: Any) -> Dict[str, Any]:
+        times: Dict[Any, List[float]] = {sharded: [], local: []}
+        for seed in range(-10, requests):  # ten warm-up rounds
+            for service in (sharded, local):
+                start = time.perf_counter()
+                request = QueryRequest(texts.SORTING, facts, seed=seed % 1000)
+                service.submit(request).response(60)
+                if seed >= 0:
+                    times[service].append((time.perf_counter() - start) * 1000.0)
+        row = percentiles(times[sharded])
+        reference = percentiles(times[local])
+        row["inproc_p50_ms"] = reference["p50_ms"]
+        row["inproc_p99_ms"] = reference["p99_ms"]
+        row["ratio"] = round(row["p50_ms"] / max(reference["p50_ms"], 1e-9), 3)
+        return row
+
+    def setting(root: Any) -> Dict[str, Any]:
+        store = CheckpointStore(f"{root}/inproc", fsync="always") if root else None
+        local = QueryService(workers=1, store=store)
+        sharded = ShardedQueryService(
+            shards=1,
+            replicas=1 if root else 0,
+            durable_dir=f"{root}/sharded" if root else None,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while root and sharded.stats()["shards"][0]["standby_state"] != "warm":
+                if time.monotonic() > deadline:
+                    raise RuntimeError("standby never became warm")
+                time.sleep(0.01)
+            return alternate(sharded, local)
+        finally:
+            sharded.close()
+            local.close()
+            if store is not None:
+                store.close()
+
+    with tempfile.TemporaryDirectory(prefix="bench-roundtrip-") as root:
+        return {
+            "requests": requests,
+            "replicas0": setting(None),
+            "replicas1": setting(root),
+        }
+
+
 def run_regression(
     tc_sizes: Sequence[int] = TC_SIZES,
     sort_sizes: Sequence[int] = SORT_SIZES,
@@ -724,6 +808,7 @@ def run_regression(
     incremental_rows = _incremental_rows(INCREMENTAL_SIZES, repeats=repeats)
     scaling = _sharded_scaling_rows(repeats=repeats)
     replication = _replication_overhead_rows(repeats=repeats)
+    roundtrip = _shard_roundtrip_rows()
     return {
         "meta": {
             "python": platform.python_version(),
@@ -887,6 +972,20 @@ def run_regression(
                     else {"skipped": "not enough cores for primary+standby pairs"}
                 ),
             },
+            "shard_roundtrip": {
+                "description": f"{SHARD_ROUNDTRIP_REQUESTS} sequential "
+                f"sorts of {SHARD_ROUNDTRIP_KEYS} string-keyed pairs over "
+                f"{SHARD_ROUNDTRIP_COST_CLASSES} cost classes, client "
+                "p50/p99 through a one-shard front door: replicas 0 "
+                "without a durable "
+                "directory, replicas 1 durable with a warm standby, each "
+                "timed alternately with an in-process QueryService of the "
+                "same durability; ratio = front-door p50 / in-process "
+                "p50.  Gated: replicas 0 at most "
+                f"{SHARD_ROUNDTRIP_CEILING:.1f}x, replicas 1 against the "
+                "committed baseline",
+                **roundtrip,
+            },
         },
     }
 
@@ -1003,6 +1102,27 @@ def check_against_baseline(
                 f"{overhead:.3f}x the unreplicated durable batch "
                 f"(ceiling {REPLICATION_OVERHEAD_CEILING:.2f}x)"
             )
+    # `.get` guards: baselines from before the round-trip sweep skip it.
+    roundtrip = report["sweeps"].get("shard_roundtrip")
+    if roundtrip is not None:
+        ratio = roundtrip["replicas0"]["ratio"]
+        if ratio > SHARD_ROUNDTRIP_CEILING:
+            failures.append(
+                "shard round trip regressed: a one-shard front door "
+                f"answers at {ratio:.3f}x the in-process p50 "
+                f"(ceiling {SHARD_ROUNDTRIP_CEILING:.2f}x)"
+            )
+        expected = baseline["sweeps"].get("shard_roundtrip")
+        if expected is not None:
+            ratio = roundtrip["replicas1"]["ratio"]
+            ceiling = expected["replicas1"]["ratio"] * (1.0 + tolerance)
+            if ratio > ceiling:
+                failures.append(
+                    "replicated round trip regressed: replicas 1 answers at "
+                    f"{ratio:.3f}x the durable in-process p50 > {ceiling:.3f}x "
+                    f"(baseline {expected['replicas1']['ratio']:.3f}x + "
+                    f"{tolerance:.0%} tolerance)"
+                )
     return failures
 
 
@@ -1138,6 +1258,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         else:
             print(f"replication overhead: skipped ({replication['skipped']})")
+        roundtrip = report["sweeps"]["shard_roundtrip"]
+        for name in ("replicas0", "replicas1"):
+            row = roundtrip[name]
+            print(
+                f"  rtt {name}  p50 {row['p50_ms']:.3f}ms  "
+                f"p99 {row['p99_ms']:.3f}ms  in-process p50 "
+                f"{row['inproc_p50_ms']:.3f}ms  ratio {row['ratio']:.2f}x"
+            )
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}")
@@ -1145,8 +1273,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             "OK: plan-cache speedup, governor overhead, service overhead, "
             "durable overhead, join-order speedup, extrema speedup, "
-            "incremental speedup, sharded scaling and replication "
-            "overhead within tolerance"
+            "incremental speedup, sharded scaling, replication "
+            "overhead and shard round trip within tolerance"
         )
         return 0
     out.write_text(json.dumps(report, indent=2) + "\n")

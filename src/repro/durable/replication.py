@@ -276,10 +276,15 @@ class ReplicaWal:
 
     # -- live shipping ----------------------------------------------------------
 
-    def append(self, index: int, payload: bytes) -> None:
+    def append(self, index: int, payload: bytes, sync: bool = True) -> None:
         """Apply one live-shipped record *payload* to segment *index*,
         rotating when the primary did (a new *index* closes the old
-        segment exactly as the primary's fsync-before-rotation does)."""
+        segment exactly as the primary's fsync-before-rotation does).
+
+        ``sync=False`` writes the record but leaves its fsync to the
+        caller's next :meth:`sync` — one fsync for a batch of records,
+        for a caller that reports none of them applied before it syncs.
+        """
         if self._closed:
             raise ValueError(f"replica WAL {self.root} is closed")
         if self._open_index != index:
@@ -289,8 +294,10 @@ class ReplicaWal:
             self._open_index = index
             fsync_dir(self.root)
         append_record(self._handle, payload)
-        if self.fsync == "always":
+        if self.fsync == "always" and sync:
             fsync_handle(self._handle)
+        else:
+            self._handle.flush()
         self.records_applied += 1
 
     def apply_compact(self, index: int, data: bytes) -> None:

@@ -26,6 +26,11 @@ Durability discipline:
 * appends go to the current ``wal-<n>.log`` segment and are fsynced per
   the ``fsync`` policy (``"always"`` by default — a record returned from
   ``write_checkpoint`` survives an immediate power cut);
+* under :meth:`CheckpointStore.group_commit` an ``"always"`` store
+  writes each record at once but fsyncs (and ships) it at the next
+  :meth:`~CheckpointStore.commit`: one fsync for every record appended
+  since the last, for a caller that publishes nothing before it commits
+  (the shard worker commits before every publish);
 * segments rotate at ``segment_bytes``; the outgoing segment is fsynced
   *before* the new one is created, so damage can only ever live at the
   tail of the final segment;
@@ -49,7 +54,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.durable.recovery import PendingRun, RecoveredState, RecoveryManager, ViewLog
 from repro.durable.wal import (
@@ -140,6 +145,10 @@ class CheckpointStore:
         self._handle: Any = None
         self._segment_size = 0
         self._closed = False
+        #: Records written but not yet fsynced and shipped, as
+        #: ``(segment index, record bytes)``; ``None`` unless
+        #: :meth:`group_commit` is on.
+        self._uncommitted: Optional[List[Tuple[int, bytes]]] = None
         # Appends come from many threads (the query service journals from
         # the caller thread and checkpoints from worker threads); one lock
         # serializes the log so records never interleave mid-frame.
@@ -272,10 +281,45 @@ class CheckpointStore:
             self._updates.pop(rid, None)
             self._done.add(rid)
 
+    def group_commit(self) -> None:
+        """Turn on group commit (an ``"always"`` store only; a no-op
+        under the lazier policies, which never promised a per-record
+        fsync).
+
+        From here on an append writes and flushes its record at once, so
+        the record survives the process being killed, but its fsync and
+        its ``on_append`` ship wait for the next :meth:`commit`, which
+        covers every record appended since the last one with a single
+        fsync.  The caller takes over the ``"always"`` promise: it must
+        commit before it tells anyone outside the process about a
+        record.  :meth:`sync`, :meth:`write_fence`, :meth:`compact` and
+        :meth:`close` commit first.
+        """
+        with self._lock:
+            if self.fsync == "always" and self._uncommitted is None:
+                self._uncommitted = []
+
+    def commit(self) -> None:
+        """Under :meth:`group_commit`: fsync every record appended since
+        the last commit, then ship them in log order.  Cheap when there
+        is nothing to commit."""
+        with self._lock:
+            if not self._uncommitted:
+                return
+            records, self._uncommitted = self._uncommitted, []
+            if self._handle is not None:
+                fsync_handle(self._handle)
+                self.metrics.inc("durable/fsyncs")
+            if self.on_append is not None:
+                for index, payload in records:
+                    self.on_append(index, payload)
+
     def sync(self) -> None:
         """Force everything appended so far onto the disk."""
         with self._lock:
-            if self._handle is not None:
+            if self._uncommitted is not None:
+                self.commit()
+            elif self._handle is not None:
                 fsync_handle(self._handle)
                 self.metrics.inc("durable/fsyncs")
 
@@ -299,7 +343,9 @@ class CheckpointStore:
                     f"token {self._fence_token} in {self.root}"
                 )
             self._append({"kind": "fence", "rid": "shard", "data": {"token": token}})
-            if self.fsync != "always" and self._handle is not None:
+            if self._uncommitted is not None:
+                self.commit()
+            elif self.fsync != "always" and self._handle is not None:
                 fsync_handle(self._handle)
                 self.metrics.inc("durable/fsyncs")
             self._fence_token = token
@@ -372,6 +418,8 @@ class CheckpointStore:
         rest; returns bytes reclaimed.  Crash-safe at every boundary (see
         the module docstring)."""
         with self._lock:
+            # Ship what the compacted segment is about to absorb first.
+            self.commit()
             return self._compact_locked()
 
     def _compact_locked(self) -> int:
@@ -473,6 +521,7 @@ class CheckpointStore:
         with self._lock:
             if self._closed:
                 return
+            self.commit()
             self._closed = True
             if self._handle is not None:
                 if self.fsync != "never":
@@ -520,13 +569,18 @@ class CheckpointStore:
         self._segment_size += written
         self.metrics.inc("durable/records")
         self.metrics.inc("durable/bytes_written", written)
-        if self.fsync == "always":
-            fsync_handle(self._handle)
-            self.metrics.inc("durable/fsyncs")
-        if self.on_append is not None:
-            # Ship after the fsync: under "always" the standby can never
-            # hold a record the primary's disk does not.
-            self.on_append(self._segment_index, payload)
+        if self._uncommitted is not None:
+            # Group commit: durable and shipped at the next commit().
+            self._handle.flush()
+            self._uncommitted.append((self._segment_index, payload))
+        else:
+            if self.fsync == "always":
+                fsync_handle(self._handle)
+                self.metrics.inc("durable/fsyncs")
+            if self.on_append is not None:
+                # Ship after the fsync: under "always" the standby can
+                # never hold a record the primary's disk does not.
+                self.on_append(self._segment_index, payload)
         if self._segment_size >= self.segment_bytes:
             self._rotate()
 

@@ -25,7 +25,10 @@ counter                   meaning
 
 plus the latency distributions ``serve/latency_s`` (submit → terminal)
 and ``serve/queue_s`` (time spent queued), from which :meth:`stats`
-derives p50/p99.  Per-request engine registries are merged in on
+derives p50/p99.  The sharded front door's ``shard/latency_s`` is its
+own submit → deliver time, and ``shard/worker_latency_s`` is the
+worker's figure for the same requests (``worker_latency_ms_p50``/
+``_p99`` in :meth:`stats`).  Per-request engine registries are merged in on
 completion, so engine counters (γ firings, saturation facts, phase
 times) aggregate fleet-wide under their usual names.
 """
@@ -94,6 +97,7 @@ class ServiceMetrics:
             for series, label in (
                 (f"{self._prefix}latency_s", "latency_ms"),
                 (f"{self._prefix}queue_s", "queue_ms"),
+                (f"{self._prefix}worker_latency_s", "worker_latency_ms"),
             ):
                 for q, suffix in ((0.50, "p50"), (0.99, "p99")):
                     value = self.registry.quantile(series, q)

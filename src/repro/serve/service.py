@@ -97,6 +97,8 @@ class Ticket:
         self.token = CancelToken()
         self._event = threading.Event()
         self._response: Optional[QueryResponse] = None
+        self._lock = threading.Lock()
+        self._callbacks: List[Callable[["Ticket"], Any]] = []
 
     @property
     def done(self) -> bool:
@@ -122,9 +124,22 @@ class Ticket:
         assert self._response is not None
         return self._response
 
+    def add_done_callback(self, fn: Callable[["Ticket"], Any]) -> None:
+        """Call ``fn(ticket)`` once the ticket resolves — on the thread
+        that completes it, or right here when it already has."""
+        with self._lock:
+            if not self._event.is_set():
+                self._callbacks.append(fn)
+                return
+        fn(self)
+
     def _complete(self, response: QueryResponse) -> None:
-        self._response = response
-        self._event.set()
+        with self._lock:
+            self._response = response
+            self._event.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(self)
 
 
 class QueryService:

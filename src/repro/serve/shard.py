@@ -50,9 +50,29 @@ Child → parent::
                                disk and is refusing to publish
 
 Either direction may wrap consecutive messages as ``("batch", [msgs])``
-— one pipe write (one syscall, one pickle) per poll-loop pass instead of
-one per message; both ends unwrap transparently.  ``ShardConfig.pipe_batch``
+— one pipe write (one syscall, one pickle) per loop pass instead of one
+per message; both ends unwrap transparently.  ``ShardConfig.pipe_batch``
 turns it off for A/B measurement.
+
+The worker loop is event-driven.  The primary blocks in
+:func:`multiprocessing.connection.wait` on its pipe and on a wake pipe
+that two other threads poke: the completion callback of every pending
+ticket, and the store's ship hooks after each fsynced record.  So a
+finished request is answered, and a durable record shipped, the moment
+it exists, and an idle worker costs nothing.  The wait's timeout is the
+50 ms idle fence re-check; the fence is also re-checked before every
+publish.  Pings and the standby's sync requests are answered as soon as
+they are read.  Submits are admitted in 10 ms slices with a publish
+between slices: a burst of submits must not hold back finished answers
+or a standby's catch-up.  Under ``fsync="always"`` the store
+group-commits: journal entries and done marks are written at once, and
+one fsync per loop pass makes them durable (and ships them) before
+anything of that pass is published, so a burst costs one fsync, not two
+per request.  The standby blocks on its pipe alone and likewise fsyncs
+the records it applied once per pass, before anything it sends back.
+The worker process runs with a 1 ms GIL switch interval
+(``SWITCH_INTERVAL_S``), so the loop thread is not starved by a busy
+solver thread each time it blocks.
 
 Zero-loss argument, end to end: the front door keeps every submitted
 ``(rid, payload)`` until the owning shard's ``response`` arrives.  Inside
@@ -76,10 +96,13 @@ from __future__ import annotations
 
 import os
 import queue
+import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from multiprocessing.connection import wait
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, StoreFenced
 from repro.robust import faults
@@ -300,16 +323,64 @@ def _rejection_response(exc: BaseException, started: float) -> Dict[str, Any]:
 # -- the worker process ---------------------------------------------------------
 
 
+#: How often an idle primary re-reads the fence file, seconds.
+FENCE_RECHECK_S = 0.05
+#: How long the primary admits queued submits before it publishes what
+#: finished meanwhile, seconds.
+ADMIT_SLICE_S = 0.01
+#: The worker process's GIL switch interval, seconds.  The loop thread
+#: blocks in a syscall several times a pass, and each time it must win
+#: the GIL back from a busy solver thread; at CPython's default 5 ms a
+#: loaded worker answers pings, fetches and finished requests late, and
+#: a fresh standby takes over a second to catch up.
+SWITCH_INTERVAL_S = 0.001
+
+
 def _visit(site: str) -> None:
     hook = faults._SHARD_HOOK
     if hook is not None:
         hook(site)
 
 
+class _Wake:
+    """A self-pipe the primary loop waits on next to its parent pipe.
+
+    :meth:`poke` is safe from any thread and writes at most one byte per
+    :meth:`clear`, so the pipe never fills.  The lock also keeps a late
+    poke (a ticket finishing after shutdown) from writing into a closed,
+    possibly reused, descriptor.
+    """
+
+    def __init__(self) -> None:
+        self.fd, self._write_fd = os.pipe()
+        os.set_blocking(self.fd, False)
+        self._lock = threading.Lock()
+        self._poked = False
+
+    def poke(self, *_: Any) -> None:
+        with self._lock:
+            if self._poked or self._write_fd is None:
+                return
+            self._poked = True
+            os.write(self._write_fd, b"\0")
+
+    def clear(self) -> None:
+        with self._lock:
+            if self._poked:
+                self._poked = False
+                os.read(self.fd, 1)
+
+    def close(self) -> None:
+        with self._lock:
+            os.close(self.fd)
+            os.close(self._write_fd)
+            self._write_fd = None
+
+
 class _Outgoing:
     """The worker's per-pass send buffer: messages accumulate during one
-    poll-loop pass and leave as a single ``("batch", [...])`` pipe write
-    (or individually, with batching off / a single message)."""
+    loop pass and leave as a single ``("batch", [...])`` pipe write (or
+    individually, with batching off / a single message)."""
 
     def __init__(self, conn: Any, batch: bool):
         self.conn = conn
@@ -331,9 +402,10 @@ class _Outgoing:
             self.buffer = []
 
 
-def _drain_inbox(conn: Any, timeout: float) -> List[Tuple[Any, ...]]:
+def _drain_inbox(conn: Any, timeout: Optional[float]) -> List[Tuple[Any, ...]]:
     """Every message waiting on *conn* (waiting up to *timeout* for the
-    first), with ``("batch", ...)`` envelopes unwrapped."""
+    first, forever when ``None``), with ``("batch", ...)`` envelopes
+    unwrapped."""
     messages: List[Tuple[Any, ...]] = []
     while conn.poll(timeout if not messages else 0.0):
         message = conn.recv()
@@ -352,6 +424,7 @@ def shard_worker_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
     promotion it reopens its replica log as the real store and falls into
     the primary loop — same process, same pipe, new role.
     """
+    sys.setswitchinterval(SWITCH_INTERVAL_S)
     if config.fault_plans or config.crash_after is not None:
         injector = FaultInjector(list(config.fault_plans))
         injector.crash_after = config.crash_after
@@ -413,6 +486,7 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
     store = None
     durability = None
     ship_queue: Optional["queue.Queue[Tuple[Any, ...]]"] = None
+    wake = _Wake()
     if config.durable_root is not None:
         store = CheckpointStore(
             _wal_root(shard_id, config), fsync=config.fsync, exclusive=True
@@ -434,13 +508,18 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
                 _visit("repl.ship")
                 seq_box[0] += 1
                 ship_queue.put(("ship", seq_box[0], index, payload))
+                wake.poke()
 
             def _on_compact(index: int, data: bytes) -> None:
                 seq_box[0] += 1
                 ship_queue.put(("ship-compact", seq_box[0], index, data))
+                wake.poke()
 
             store.on_append = _on_append
             store.on_compact = _on_compact
+        # One fsync per loop pass instead of one per record: nothing
+        # leaves this process before the pass commits (see the loop).
+        store.group_commit()
     default_budget = (
         Budget(wall_clock=config.default_budget_wall_clock)
         if config.default_budget_wall_clock is not None
@@ -456,11 +535,16 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
     )
 
     pending: Dict[int, Ticket] = {}
+
+    def _track(rid: int, ticket: Ticket) -> None:
+        pending[rid] = ticket
+        ticket.add_done_callback(wake.poke)
+
     recovered: List[int] = []
     if store is not None:
         for rid, ticket in service.recover(resubmit=True).items():
             if rid.isdigit():
-                pending[int(rid)] = ticket
+                _track(int(rid), ticket)
                 recovered.append(int(rid))
     out = _Outgoing(conn, config.pipe_batch)
     conn.send(("ready", shard_id, os.getpid()))
@@ -482,19 +566,51 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
         disk = read_fence_token(config.fence_file)
         return disk if disk > held else 0
 
+    def _control(message: Tuple[Any, ...]) -> None:
+        kind = message[0]
+        if kind == "ping":
+            out.send(("pong", message[1], service.queue.depth(), len(pending)))
+        elif kind == "manifest" and store is not None:
+            # Under the store lock nothing can append, so the manifest
+            # pins an exact prefix and every record shipped after this
+            # message is exactly the suffix.
+            with store._lock:
+                store.commit()
+                _drain_ships()
+                out.send(("manifest", build_manifest(store.root)))
+        elif kind == "fetch" and store is not None:
+            index, length = message[1], message[2]
+            out.send(("segment", index, read_segment(store.root, index, length)))
+
+    # Submits, cancels and close, in arrival order.  Admitting a submit
+    # decodes and journals it, so a burst of thousands is admitted a
+    # slice at a time: responses and ships go out between slices.
+    backlog: Deque[Tuple[Any, ...]] = deque()
     closing = False
     fence_checked = _now()
     try:
         while True:
             _visit("shard.loop")
-            for message in _drain_inbox(conn, 0.0 if pending else 0.01):
+            idle = max(0.0, fence_checked + FENCE_RECHECK_S - _now())
+            wait([conn, wake.fd], 0.0 if backlog else idle)
+            wake.clear()
+            for message in _drain_inbox(conn, 0.0):
+                # Pings and the standby's sync requests never queue
+                # behind a burst of submits.
+                if message[0] in ("ping", "manifest", "fetch"):
+                    _control(message)
+                else:
+                    backlog.append(message)
+            slice_end = _now() + ADMIT_SLICE_S
+            while backlog and _now() < slice_end:
+                message = backlog.popleft()
                 kind = message[0]
                 if kind == "submit":
                     rid, payload = message[1], message[2]
                     started = _now()
                     request = QueryRequest.from_payload(payload)
                     try:
-                        pending[rid] = service.submit(request, request_id=rid)
+                        _track(rid, service.submit(request, request_id=rid))
                     except ReproError as exc:
                         out.send(
                             ("response", rid, _rejection_response(exc, started))
@@ -503,29 +619,15 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
                     ticket = pending.get(message[1])
                     if ticket is not None:
                         ticket.cancel()
-                elif kind == "ping":
-                    out.send(
-                        ("pong", message[1], service.queue.depth(), len(pending))
-                    )
-                elif kind == "manifest" and store is not None:
-                    # Under the store lock nothing can append, so the
-                    # manifest pins an exact prefix and every record
-                    # shipped after this message is exactly the suffix.
-                    with store._lock:
-                        _drain_ships()
-                        out.send(("manifest", build_manifest(store.root)))
-                elif kind == "fetch" and store is not None:
-                    index, length = message[1], message[2]
-                    out.send(
-                        ("segment", index, read_segment(store.root, index, length))
-                    )
                 elif kind == "close":
                     closing = True
                     break
             done_rids = [rid for rid in pending if pending[rid].done]
-            if done_rids or _now() - fence_checked >= 0.05:
+            publish = bool(done_rids or out.buffer)
+            if done_rids or _now() - fence_checked >= FENCE_RECHECK_S:
                 # Fencing: always re-checked before publishing a
                 # response, and periodically while idle.
+                publish = True
                 fence_checked = _now()
                 newer = _fenced_now()
                 if newer:
@@ -538,6 +640,11 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
                         token=newer,
                         held=held,
                     )
+            if publish and store is not None:
+                # Group commit: one fsync makes every record of this pass
+                # (the admitted requests' journal entries, the finished
+                # ones' done marks) durable before anything is published.
+                store.commit()
             for rid in done_rids:
                 response = pending[rid].response(0)
                 _visit("shard.ack")
@@ -549,6 +656,8 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
                 # Drain: in-flight requests finish, queued-but-unstarted
                 # ones get the typed shutdown response from close().
                 service.close(wait=True)
+                if store is not None:
+                    store.commit()
                 for rid, ticket in list(pending.items()):
                     if ticket.done:
                         out.send(
@@ -563,6 +672,7 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
             service.close(wait=False, timeout=1.0)
         if store is not None:
             store.close()
+        wake.close()
 
 
 def _standby_main(shard_id: int, conn: Any, config: ShardConfig) -> Optional[int]:
@@ -582,11 +692,15 @@ def _standby_main(shard_id: int, conn: Any, config: ShardConfig) -> Optional[int
     applied_seq = 0
     diverged = False
     seen_manifest = False
+    unsynced = False
 
     def _apply(message: Tuple[Any, ...]) -> None:
+        nonlocal unsynced
         _visit("repl.ack")
         if message[0] == "ship":
-            replica.append(message[2], message[3])
+            # Synced once per loop pass, before any pong reports it.
+            replica.append(message[2], message[3], sync=False)
+            unsynced = True
         else:
             replica.apply_compact(message[2], message[3])
 
@@ -602,7 +716,7 @@ def _standby_main(shard_id: int, conn: Any, config: ShardConfig) -> Optional[int
     try:
         while True:
             _visit("shard.loop")
-            for message in _drain_inbox(conn, 0.02):
+            for message in _drain_inbox(conn, None):
                 kind = message[0]
                 if kind == "manifest":
                     seen_manifest = True
@@ -636,9 +750,13 @@ def _standby_main(shard_id: int, conn: Any, config: ShardConfig) -> Optional[int
                     out.flush()
                     return message[1]
                 elif kind == "close":
+                    replica.sync()
                     out.send(("bye",))
                     out.flush()
                     return None
+            if unsynced:
+                replica.sync()
+                unsynced = False
             out.flush()
     finally:
         replica.close()
@@ -662,8 +780,14 @@ class ShardHandle:
     thread, the supervisor thread only ever *reads*, so the worker's
     sends always drain, so the worker keeps reading, so the sender
     thread's blocking writes always complete.  A message enqueued toward
-    a dying worker is simply dropped when the sender thread exits — the
-    restart protocol resends everything unacknowledged anyway.
+    a dying worker is simply dropped — the restart protocol resends
+    everything unacknowledged anyway.
+
+    The sender thread also owns closing its pipe.  :meth:`retire` only
+    lets go of it (the reader stops reading, callers stop enqueueing)
+    and enqueues the ``None`` sentinel; the sender closes the pipe once
+    any in-flight write has returned.  Closing it from another thread
+    mid-write would tear the write apart.
     """
 
     shard_id: int
@@ -675,6 +799,7 @@ class ShardHandle:
     #: pending registry; mirrored here for cheap reassignment).
     generation: int = 0
     _outbox: Any = field(default=None, repr=False, compare=False)
+    _sender: Any = field(default=None, repr=False, compare=False)
     _inbox: List[Tuple[Any, ...]] = field(
         default_factory=list, repr=False, compare=False
     )
@@ -695,43 +820,54 @@ class ShardHandle:
         self.generation += 1
         self._inbox = []
         # A fresh outbox per generation: the old sender thread stays
-        # married to the old pipe and dies with it (its blocked write
-        # raises once the dead worker's end closes).
+        # married to the old pipe and closes it when retired.
         self._outbox = queue.Queue()
-        threading.Thread(
+        self._sender = threading.Thread(
             target=self._send_loop,
             args=(parent_end, self._outbox, self.config.pipe_batch),
             name=f"repro-shard-{self.shard_id}{suffix}-send",
             daemon=True,
-        ).start()
+        )
+        self._sender.start()
 
     @staticmethod
     def _send_loop(conn: Any, outbox: Any, batch: bool) -> None:
-        exhausted = False
-        while not exhausted:
-            message = outbox.get()
-            if message is None:
-                return
-            messages = [message]
-            if batch:
-                # Greedy drain: everything already enqueued (a bulk
-                # resend, a burst of submits) leaves as one pipe write.
-                while True:
+        broken = False
+        try:
+            while True:
+                message = outbox.get()
+                if message is None:
+                    return
+                messages = [message]
+                retired = False
+                if batch:
+                    # Greedy drain: everything already enqueued (a bulk
+                    # resend, a burst of submits) leaves as one pipe write.
+                    while True:
+                        try:
+                            extra = outbox.get_nowait()
+                        except queue.Empty:
+                            break
+                        if extra is None:
+                            retired = True
+                            break
+                        messages.append(extra)
+                if not broken:
                     try:
-                        extra = outbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is None:
-                        exhausted = True
-                        break
-                    messages.append(extra)
+                        if len(messages) > 1:
+                            conn.send(("batch", messages))
+                        else:
+                            conn.send(messages[0])
+                    except (BrokenPipeError, ValueError, OSError):
+                        # The worker is gone: drop sends until retired.
+                        broken = True
+                if retired:
+                    return
+        finally:
             try:
-                if len(messages) > 1:
-                    conn.send(("batch", messages))
-                else:
-                    conn.send(messages[0])
-            except (BrokenPipeError, ValueError, OSError):
-                return
+                conn.close()
+            except OSError:
+                pass
 
     def send(self, message: Tuple[Any, ...]) -> bool:
         """Enqueue for the sender thread; ``False`` when the worker end
@@ -772,17 +908,18 @@ class ShardHandle:
     def exitcode(self) -> Optional[int]:
         return None if self.process is None else self.process.exitcode
 
+    def retire(self) -> None:
+        """Let go of this generation's pipe: stop reading and sending,
+        and leave the close to the sender thread."""
+        if self._outbox is not None:
+            self._outbox.put(None)
+            self._outbox = None
+        self.conn = None
+        self._inbox = []
+
     def kill(self, join_timeout: float = 2.0) -> None:
         """SIGKILL the worker (used for hung shards and final cleanup)."""
         if self.process is not None and self.process.is_alive():
             self.process.kill()
             self.process.join(join_timeout)
-        if self._outbox is not None:
-            self._outbox.put(None)  # idle sender thread: exit cleanly
-            self._outbox = None
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
-            self.conn = None
+        self.retire()

@@ -18,11 +18,16 @@ per-shard state machine::
     DOWN --(restart budget spent)-> FAILED
     UP  --(close())---------------> STOPPED
 
-Each tick it drains shard messages (completing caller tickets from
-``response`` payloads), pings live shards, declares a shard dead on a
-process exit or hung after ``miss_limit`` consecutive unanswered pings
-(hung workers are SIGKILLed — a stuck interpreter cannot be reasoned
-with), and schedules restarts under **bounded exponential backoff**
+The supervisor is event-driven: it blocks in
+:func:`multiprocessing.connection.wait` over every shard pipe and every
+live worker's process sentinel.  A readable pipe is drained at once
+(completing caller tickets from ``response`` payloads and relaying the
+replication stream), and a fired sentinel is a crash, handled at once.
+Heartbeats remain only to find *hung* workers: every
+``heartbeat_interval`` it pings live shards and declares one hung after
+``miss_limit`` consecutive unanswered pings (hung workers are SIGKILLed
+— a stuck interpreter cannot be reasoned with).  The same beat drives
+the timers: restarts under **bounded exponential backoff**
 stretched by a per-shard :class:`~repro.robust.breaker.CircuitBreaker`
 (crash = failure; surviving ``stable_after`` seconds = success), so a
 crash-looping shard backs off instead of burning CPU on spawn loops.  A
@@ -77,7 +82,9 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durable.replication import (
@@ -117,6 +124,9 @@ SUSPECT = "suspect"
 DOWN = "down"
 FAILED_STATE = "failed"
 STOPPED = "stopped"
+#: States in which a worker's death is a crash to handle.
+_LIVE = (STARTING, UP, SUSPECT)
+_STANDBY_LIVE = ("starting", "syncing", "warm")
 
 
 @dataclass
@@ -201,7 +211,11 @@ class ShardedQueryService:
             shard.
         fsync / every_seconds: each shard store's fsync policy and
             checkpoint cadence.
-        heartbeat_interval: supervisor tick (ping cadence), seconds.
+        heartbeat_interval: ping cadence, seconds.  Heartbeats only
+            detect hung workers (and pace restart backoff and
+            ``stable_after``); responses, the replication stream and
+            crashes are handled the moment their pipe or process
+            sentinel becomes ready, whatever this interval.
         miss_limit: consecutive unanswered pings before a shard is
             declared hung and killed (``miss_limit // 2`` marks SUSPECT).
         restart_backoff / max_backoff: exponential restart delay bounds.
@@ -649,8 +663,8 @@ class ShardedQueryService:
 
 
 class Supervisor(threading.Thread):
-    """The single thread that keeps the shard fleet honest: heartbeats,
-    message draining, crash detection, bounded restarts, failover."""
+    """The single thread that keeps the shard fleet honest: message
+    delivery, crash detection, heartbeats, bounded restarts, failover."""
 
     def __init__(self, service: ShardedQueryService):
         super().__init__(name="repro-shard-supervisor", daemon=True)
@@ -658,36 +672,93 @@ class Supervisor(threading.Thread):
         # Not named _stop: threading.Thread has a private _stop() method
         # the interpreter itself calls on join.
         self._halt = threading.Event()
+        # stop() writes one byte here to end a blocked wait at once.
+        self._wake_fd, self._wake_write_fd = os.pipe()
 
     def stop(self, join_timeout: float = 5.0) -> None:
         self._halt.set()
+        if self._wake_write_fd is None:
+            return
+        os.write(self._wake_write_fd, b"\0")
         if self.is_alive():
             self.join(join_timeout)
+        if not self.is_alive():
+            os.close(self._wake_fd)
+            os.close(self._wake_write_fd)
+            self._wake_write_fd = None
 
     def run(self) -> None:
-        while not self._halt.wait(self.service.heartbeat_interval):
-            for state in self.service._shards:
-                try:
-                    self._tick(state)
-                except Exception:  # pragma: no cover - the supervisor
-                    # must survive anything one shard's bookkeeping throws;
-                    # a dead supervisor means no restarts ever again.
-                    pass
+        interval = self.service.heartbeat_interval
+        next_beat = time.monotonic() + interval
+        while not self._halt.is_set():
+            watched = self._watched()
+            ready = wait(
+                [self._wake_fd, *watched], max(0.0, next_beat - time.monotonic())
+            )
+            woken = {watched[obj] for obj in ready if obj in watched}
+            for key in sorted(woken):
+                self._guarded(self._on_ready, *key)
+            if time.monotonic() >= next_beat:
+                next_beat = time.monotonic() + interval
+                for k in range(len(self.service._shards)):
+                    self._guarded(self._beat, k)
 
-    # -- one shard, one tick ----------------------------------------------------
+    def _guarded(self, step: Any, *args: Any) -> None:
+        try:
+            step(*args)
+        except Exception:  # pragma: no cover - the supervisor must
+            # survive anything one shard's bookkeeping throws; a dead
+            # supervisor means no restarts ever again.
+            self.service.metrics.inc("supervisor_errors")
+            self.service.tracer.event(
+                "supervisor-error", error=traceback.format_exc()
+            )
 
-    def _tick(self, state: _ShardState) -> None:
-        self._tick_primary(state)
+    def _watched(self) -> Dict[Any, Tuple[int, str]]:
+        """Every pipe still in use and every sentinel of a worker whose
+        death would matter, keyed to ``(shard index, role)``.  Workers
+        that are down, failed or stopped are left out, so their
+        forever-ready sentinels never spin the loop."""
+        watched: Dict[Any, Tuple[int, str]] = {}
+        for k, state in enumerate(self.service._shards):
+            handle = state.handle
+            if handle.conn is not None:
+                watched[handle.conn] = (k, "primary")
+            if state.state in _LIVE and handle.process is not None:
+                watched[handle.process.sentinel] = (k, "primary")
+            standby = state.standby
+            if standby is None:
+                continue
+            if standby.conn is not None:
+                watched[standby.conn] = (k, "standby")
+            if state.standby_state in _STANDBY_LIVE and standby.process is not None:
+                watched[standby.process.sentinel] = (k, "standby")
+        return watched
+
+    def _on_ready(self, k: int, role: str) -> None:
+        """Drain the woken pipe, then treat an exited worker as a crash;
+        draining first keeps whatever it said before it died."""
+        state = self.service._shards[k]
+        if role == "primary":
+            self._drain(state)
+            if state.state in _LIVE and not state.handle.alive():
+                self._on_crash(state, f"exit code {state.handle.exitcode}")
+        elif state.standby is not None:
+            self._drain_standby(state)
+            if state.standby_state in _STANDBY_LIVE and not state.standby.alive():
+                self._standby_down(state)
+
+    # -- one shard, one heartbeat -----------------------------------------------
+
+    def _beat(self, k: int) -> None:
+        state = self.service._shards[k]
+        self._beat_primary(state)
         if self.service.replicas:
-            self._tick_standby(state)
+            self._beat_standby(state)
 
-    def _tick_primary(self, state: _ShardState) -> None:
+    def _beat_primary(self, state: _ShardState) -> None:
         service = self.service
         now = service.clock()
-        self._drain(state)
-        if state.state in (STARTING, UP, SUSPECT) and not state.handle.alive():
-            self._on_crash(state, f"exit code {state.handle.exitcode}")
-            return
         if state.state in (UP, SUSPECT):
             state.ping_seq += 1
             state.missed_pongs += 1
@@ -730,6 +801,9 @@ class Supervisor(threading.Thread):
         while state.handle.poll():
             message = state.handle.recv()
             if message is None:
+                # End of file: the worker closed its end.  Stop watching
+                # the pipe; its sentinel reports the exit.
+                state.handle.retire()
                 return
             kind = message[0]
             if kind == "ready":
@@ -779,25 +853,15 @@ class Supervisor(threading.Thread):
 
     # -- the standby ------------------------------------------------------------
 
-    def _tick_standby(self, state: _ShardState) -> None:
+    def _beat_standby(self, state: _ShardState) -> None:
         service = self.service
         if service._closing or state.state in (STOPPED, FAILED_STATE):
             return
-        now = service.clock()
         if state.standby is None or state.standby.process is None:
-            self.service._spawn_standby(state)
+            service._spawn_standby(state)
             return
-        self._drain_standby(state)
-        if not state.standby.alive():
-            if state.standby_state != "down":
-                state.standby_state = "down"
-                state.standby_attached = False
-                state.standby.kill()  # reap + retire the sender thread
-                state.standby_restart_due = now + service.restart_backoff
-                service.tracer.event(
-                    "standby-down", shard=state.handle.shard_id
-                )
-            elif now >= state.standby_restart_due:
+        if state.standby_state == "down":
+            if service.clock() >= state.standby_restart_due:
                 service._spawn_standby(state)
             return
         if state.standby_state in ("syncing", "warm"):
@@ -806,15 +870,20 @@ class Supervisor(threading.Thread):
             state.standby.send(("ping", state.standby_ping_seq))
             if state.standby_missed >= service.miss_limit:
                 # A hung standby is as useless as a hung primary.
-                state.standby.kill()
-                state.standby_state = "down"
-                state.standby_attached = False
-                state.standby_restart_due = now + service.restart_backoff
-                service.tracer.event(
-                    "standby-down",
-                    shard=state.handle.shard_id,
-                    reason="hung",
-                )
+                self._standby_down(state, reason="hung")
+
+    def _standby_down(self, state: _ShardState, **reason: Any) -> None:
+        """The standby died or hung: reap it and schedule a respawn (a
+        heartbeat does it once ``restart_backoff`` has passed)."""
+        state.standby_state = "down"
+        state.standby_attached = False
+        state.standby.kill()
+        state.standby_restart_due = (
+            self.service.clock() + self.service.restart_backoff
+        )
+        self.service.tracer.event(
+            "standby-down", shard=state.handle.shard_id, **reason
+        )
 
     def _drain_standby(self, state: _ShardState) -> None:
         service = self.service
@@ -822,6 +891,7 @@ class Supervisor(threading.Thread):
         while standby.poll():
             message = standby.recv()
             if message is None:
+                standby.retire()
                 return
             kind = message[0]
             if kind == "ready":
@@ -900,7 +970,7 @@ class Supervisor(threading.Thread):
             slot=state.slot,
         )
         # A fresh standby rebuilds the dead primary's slot via
-        # anti-entropy on the next tick (_tick_standby sees None).
+        # anti-entropy on the next heartbeat (_beat_standby sees None).
         return True
 
     def _reconcile(self, state: _ShardState, recovered: set) -> None:
@@ -938,7 +1008,12 @@ class Supervisor(threading.Thread):
         response = decode_response(rid, payload)
         service.metrics.inc(response.status)
         service.metrics.inc("responses")
-        service.metrics.observe("latency_s", response.latency_s)
+        # The front door's own submit → deliver time; the worker's figure
+        # leaves out the pipes and the front door itself.
+        service.metrics.observe(
+            "latency_s", service.clock() - entry.ticket.submitted_at
+        )
+        service.metrics.observe("worker_latency_s", response.latency_s)
         service.metrics.gauge("pending", len(service._pending))
         entry.ticket._complete(response)
 
@@ -956,15 +1031,7 @@ class Supervisor(threading.Thread):
             reason=reason,
             consecutive=state.restarts,
         )
-        if state.handle._outbox is not None:
-            state.handle._outbox.put(None)  # retire the generation's sender
-            state.handle._outbox = None
-        if state.handle.conn is not None:
-            try:
-                state.handle.conn.close()
-            except OSError:
-                pass
-            state.handle.conn = None
+        state.handle.retire()
         if state.restarts > service.max_restarts:
             # The crash-loop detector would park the shard — promotion
             # is exactly this transition done better: a warm standby

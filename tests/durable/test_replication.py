@@ -201,6 +201,33 @@ class TestReplicaWal:
         assert sorted(promoted.pending()) == ["r1"]
         promoted.close()
 
+    def test_deferred_appends_share_one_fsync(self, tmp_path, monkeypatch):
+        import repro.durable.replication as replication
+
+        store = CheckpointStore(tmp_path / "p")
+        shipped = []
+        store.on_append = lambda index, payload: shipped.append((index, payload))
+        for rid in ("r1", "r2", "r3"):
+            store.journal_request(rid, {})
+        store.close()
+        fsyncs = []
+        real = replication.fsync_handle
+        monkeypatch.setattr(
+            replication, "fsync_handle", lambda h: (fsyncs.append(1), real(h))
+        )
+        replica = ReplicaWal(str(tmp_path / "r"))
+        for index, payload in shipped:
+            replica.append(index, payload, sync=False)
+        assert fsyncs == []
+        # Written through to the file at once, only the fsync waits.
+        index = shipped[0][0]
+        assert _segment_bytes(str(tmp_path / "r"), index) == _segment_bytes(
+            str(tmp_path / "p"), index
+        )
+        replica.sync()
+        assert len(fsyncs) == 1
+        replica.close()
+
     def test_append_rotates_when_the_primary_does(self, tmp_path):
         primary = tmp_path / "p"
         store = CheckpointStore(primary, segment_bytes=128)

@@ -445,3 +445,66 @@ class TestFencing:
         assert reopened.fence_token == 0
         assert reopened.recovered.unknown_records == 1
         reopened.close()
+
+
+class TestGroupCommit:
+    """``group_commit()``: an ``"always"`` store writes each record at
+    once but fsyncs and ships it at the next ``commit()``."""
+
+    @staticmethod
+    def _shipping(store):
+        shipped = []
+        store.on_append = lambda index, payload: shipped.append(payload)
+        return shipped
+
+    def test_one_fsync_covers_every_record_since_the_last_commit(self, tmp_path):
+        with CheckpointStore(tmp_path) as store:
+            shipped = self._shipping(store)
+            store.group_commit()
+            fsyncs = store.metrics.counter("durable/fsyncs")
+            store.journal_request("a", {"program": SORTING})
+            store.journal_request("b", {"program": SORTING})
+            store.mark_done("a")
+            assert store.metrics.counter("durable/fsyncs") == fsyncs
+            assert shipped == []
+            store.commit()
+            assert store.metrics.counter("durable/fsyncs") == fsyncs + 1
+            assert [b'"rid":"a"' in p for p in shipped] == [True, False, True]
+            store.commit()  # nothing new: no fsync
+            assert store.metrics.counter("durable/fsyncs") == fsyncs + 1
+
+    def test_uncommitted_records_are_written_at_once(self, tmp_path):
+        # Flushed to the OS: a reader (or the successor of a killed
+        # process) sees them before any commit.
+        store = CheckpointStore(tmp_path)
+        store.group_commit()
+        store.journal_request("a", {"program": SORTING})
+        assert set(RecoveryManager(str(tmp_path)).recover().pending) == {"a"}
+        store.close()
+
+    def test_sync_fence_compact_and_close_commit_first(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        shipped = self._shipping(store)
+        store.group_commit()
+        store.journal_request("a", {"program": SORTING})
+        store.sync()
+        assert len(shipped) == 1
+        store.write_fence(2)
+        assert len(shipped) == 2
+        store.journal_request("b", {"program": SORTING})
+        store.compact()
+        assert len(shipped) == 3
+        store.mark_done("b")
+        store.close()
+        assert len(shipped) == 4
+        reopened = CheckpointStore(tmp_path)
+        assert set(reopened.pending()) == {"a"}
+        assert reopened.fence_token == 2
+        reopened.close()
+
+    def test_lazy_policies_ignore_it(self, tmp_path):
+        with CheckpointStore(tmp_path, fsync="never") as store:
+            shipped = self._shipping(store)
+            store.group_commit()
+            store.journal_request("a", {"program": SORTING})
+            assert len(shipped) == 1
